@@ -18,12 +18,14 @@ race:
 # detector (they skip themselves under it, since the instrumentation
 # allocates), so the zero-allocation cascade path, the zero-allocation
 # memo path (encode + lookup + hit), the zero-allocation Fourier–Motzkin
-# solve, and the clone-free refinement walk stay gated even though the main
+# solve, the clone-free refinement walk, and pair enumeration's freedom
+# from per-array and per-site allocations stay gated even though the main
 # test run is race-enabled.
 allocgate:
 	$(GO) test ./internal/dtest -run 'TestCascadeZeroAllocs|TestRunTracedReusesScratch|TestBudgetZeroAllocs|TestFMSolveZeroAllocs'
 	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs'
 	$(GO) test ./internal/depvec -run 'TestRefineZeroAllocs'
+	$(GO) test ./internal/refs -run 'TestPairsAllocs'
 
 # check is the CI gate: vet plus race-enabled tests, so the concurrent
 # driver (core.AnalyzeAll, memo.ShardedTable) is race-checked on every run,
@@ -52,10 +54,10 @@ serve-smoke:
 	@rm -f .smoke_depserve .smoke_serve.json
 
 # bench runs the paper-evaluation benchmarks (root package) and the cascade,
-# memo, and refinement stage/allocation microbenchmarks with allocation
-# counts.
+# memo, refinement, and pair-enumeration stage/allocation microbenchmarks
+# with allocation counts.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/dtest ./internal/memo ./internal/depvec
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/dtest ./internal/memo ./internal/depvec ./internal/refs
 
 # bench-json writes the machine-readable perf baseline (ns/op, allocs/op,
 # memo hit rates over the suite, budget-trip profile of the FM-hard

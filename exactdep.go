@@ -196,8 +196,10 @@ func Parse(src string) (*Program, error) { return lang.Parse(src) }
 func Lower(p *Program) *Unit { return opt.Lower(p) }
 
 // Pairs enumerates the candidate dependence pairs of a lowered unit,
-// including each write paired with itself (its across-iteration output
-// dependence).
+// including each write paired with itself. A self-pair compares every
+// execution of the write with every execution, the same one included, so
+// it is dependent whenever the write executes; only a vector other than
+// all-'=' means a loop carries an output dependence.
 func Pairs(u *Unit) []Candidate { return refs.Pairs(u) }
 
 // PairsNoSelf enumerates distinct-reference pairs only (the paper's

@@ -88,15 +88,6 @@ func (h *FPHasher) AddTerm(name string, coef int64) {
 	h.lo += t * fpSeedHi // odd multiplier: bijective, decorrelates the chains
 }
 
-// AddUnordered folds a sub-fingerprint commutatively, for nondeterministic
-// collections whose elements are bigger than a single term: fold each
-// element into its own Reset hasher, sum the results here, then seal the
-// collection with a final AddInt of its size.
-func (h *FPHasher) AddUnordered(f Fingerprint) {
-	h.hi += f.Hi
-	h.lo += f.Lo ^ f.Hi
-}
-
 // Sum returns the accumulated fingerprint (the hasher keeps its state, so
 // callers Reset between units).
 func (h *FPHasher) Sum() Fingerprint {

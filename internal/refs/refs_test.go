@@ -1,6 +1,7 @@
 package refs
 
 import (
+	"fmt"
 	"testing"
 
 	"exactdep/internal/ir"
@@ -143,5 +144,76 @@ func TestCommonPrefixStructuralFallback(t *testing.T) {
 func TestClassString(t *testing.T) {
 	if NeedsTest.String() == "" || ConstEqual.String() == "" || ConstDiffer.String() == "" {
 		t.Fatal("empty class strings")
+	}
+}
+
+// pairsReference is the original quadratic enumeration, kept verbatim as
+// the oracle TestPairsMatchReference compares PairsOpts against: every site
+// against every later site, each filter applied in turn.
+func pairsReference(u *ir.Unit, opts Options) []Candidate {
+	var out []Candidate
+	for i, a := range u.Sites {
+		for j := i; j < len(u.Sites); j++ {
+			b := u.Sites[j]
+			if i == j && opts.NoSelfPairs {
+				continue
+			}
+			if a.Ref.Array != b.Ref.Array {
+				continue
+			}
+			if len(a.Ref.Subscripts) != len(b.Ref.Subscripts) {
+				continue // inconsistent dimensionality: not comparable
+			}
+			if a.Ref.Kind != ir.Write && b.Ref.Kind != ir.Write {
+				continue // read-read pairs carry no dependence
+			}
+			if i == j && a.Ref.Kind != ir.Write {
+				continue
+			}
+			p := ir.Pair{
+				A:       a,
+				B:       b,
+				Common:  commonPrefix(a.Loops, b.Loops),
+				Symbols: u.Symbols,
+				Label:   u.Name,
+			}
+			out = append(out, Candidate{Pair: p, Class: Classify(a.Ref, b.Ref)})
+		}
+	}
+	return out
+}
+
+// nestsUnit builds n single-array nests, each a loop writing a<k>[i] and
+// reading a<k>[i+1]: n arrays, 2n sites, 2n candidates.
+func nestsUnit(n int) *ir.Unit {
+	u := &ir.Unit{Name: "nests"}
+	for k := 0; k < n; k++ {
+		loops := []ir.Loop{{Index: "i", Lower: ir.NewConst(1), Upper: ir.NewConst(10), ID: k + 1}}
+		arr := fmt.Sprintf("a%d", k)
+		u.Sites = append(u.Sites,
+			ir.Site{Loops: loops, Ref: ir.Ref{Array: arr, Subscripts: []ir.Expr{ir.NewVar("i").AddConst(1)}, Kind: ir.Read, Depth: 1}},
+			ir.Site{Loops: loops, Ref: ir.Ref{Array: arr, Subscripts: []ir.Expr{ir.NewVar("i")}, Kind: ir.Write, Depth: 1}})
+	}
+	return u
+}
+
+// TestPairsAllocs gates the enumeration's allocations: quadrupling the
+// arrays and sites may add only the few allocations of logarithmic map and
+// slice growth, so an allocation per array, per site or per candidate
+// fails.
+func TestPairsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	const n = 64
+	small, large := nestsUnit(n), nestsUnit(4*n)
+	if got := len(Pairs(large)); got != 2*4*n {
+		t.Fatalf("candidates = %d, want %d", got, 2*4*n)
+	}
+	as := testing.AllocsPerRun(20, func() { Pairs(small) })
+	al := testing.AllocsPerRun(20, func() { Pairs(large) })
+	t.Logf("allocs: %d arrays %.0f, %d arrays %.0f", n, as, 4*n, al)
+	if al > as+8 {
+		t.Fatalf("allocs grew from %.0f to %.0f when arrays and sites quadrupled", as, al)
 	}
 }
