@@ -18,14 +18,16 @@ race:
 # detector (they skip themselves under it, since the instrumentation
 # allocates), so the zero-allocation cascade path, the zero-allocation
 # memo path (encode + lookup + hit), the zero-allocation Fourier–Motzkin
-# solve, the clone-free refinement walk, and pair enumeration's freedom
-# from per-array and per-site allocations stay gated even though the main
-# test run is race-enabled.
+# solve, the clone-free refinement walk, pair enumeration's freedom from
+# per-array and per-site allocations, and the corpus driver's freedom from
+# per-unit allocations on a warm run stay gated even though the main test
+# run is race-enabled.
 allocgate:
 	$(GO) test ./internal/dtest -run 'TestCascadeZeroAllocs|TestRunTracedReusesScratch|TestBudgetZeroAllocs|TestFMSolveZeroAllocs'
 	$(GO) test ./internal/memo -run 'TestEncoderZeroAllocs|TestMemoHitZeroAllocs'
 	$(GO) test ./internal/depvec -run 'TestRefineZeroAllocs'
 	$(GO) test ./internal/refs -run 'TestPairsAllocs'
+	$(GO) test ./internal/corpus -run 'TestDriverRunAllocs'
 
 # check is the CI gate: vet plus race-enabled tests, so the concurrent
 # driver (core.AnalyzeAll, memo.ShardedTable) is race-checked on every run,

@@ -290,12 +290,12 @@ func writeLargeCorpusDir(b *testing.B, nests int) string {
 	return root
 }
 
-// BenchmarkCorpusPipeline: the end-to-end pipelined corpus path on the
+// BenchmarkCorpusPipeline: the end-to-end corpus driver path on the
 // 4096-nest LargeCorpus, cold (empty store: load, fingerprint, solve, fill)
 // and warm (filled store: the front end is the whole run), from both an
 // in-memory source (units pre-built, fingerprints cached after the first
 // pass) and a Dir source (32 files re-read and re-parsed every run). Worker
-// counts 1/2/4/8 chart the pipeline's scaling; the warm Dir series is the
+// counts 1/2/4/8 chart the front end's scaling; the warm Dir series is the
 // headline — serial parse+fingerprint used to dominate the incremental win,
 // and the parallel front end is what moves it. Canonical-byte identity
 // across these worker counts is pinned by TestPipelineCanonicalIdentity.

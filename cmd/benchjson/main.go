@@ -3,7 +3,7 @@
 // encoder, the lock-free sharded lookup, the memo-hot AnalyzeAll pass, the
 // cold very-large-corpus AnalyzeAll pass at several worker counts, the
 // incremental corpus driver (cold store fill vs a 1%-dirty warm re-run over
-// the fingerprint → verdict store), the pipelined corpus path (cold/warm
+// the fingerprint → verdict store), the three-phase corpus path (cold/warm
 // from both in-memory and Dir sources at workers 1/2/4/8, with a per-stage
 // timing profile), the budgeted FM-hard degradation pass, and the
 // direction-vector refinement strategies (clone-per-node reference vs the
@@ -116,7 +116,7 @@ type doc struct {
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Host       hostInfo      `json:"host"`
 	Benchmarks []benchRecord `json:"benchmarks"`
-	// Pipeline is the per-stage timing split of the pipelined corpus driver
+	// Pipeline is the per-stage timing split of the corpus driver
 	// (informational: wall times, not gated).
 	Pipeline pipelineProfile `json:"pipeline"`
 	// ServeBatch is the per-request latency split of the depserve request
@@ -457,7 +457,7 @@ func run(out, only string) error {
 		}
 	}
 
-	// Pipelined corpus path: cold (empty store — load, fingerprint, solve,
+	// Corpus driver path: cold (empty store — load, fingerprint, solve,
 	// fill) and warm (filled store — the front end is the whole run) at
 	// workers 1/2/4/8, from an in-memory source and from a Dir source whose
 	// 32 files are re-read and re-parsed every run. The warm Dir series is

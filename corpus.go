@@ -71,7 +71,7 @@ type CorpusReport struct {
 
 // CorpusRequest is the one corpus-analysis entry value: it names the corpus
 // (exactly one of Dir, Files, or Source) and carries the analysis Options.
-// The facade wrappers (AnalyzeCorpus, AnalyzeCorpusContext), the CLI's
+// The facade wrapper AnalyzeCorpus, the CLI's
 // corpus mode, and the depserve service's /v1/corpus endpoint all reduce to
 // this value, so every front end selects corpora and validates options the
 // same way.
@@ -82,10 +82,11 @@ type CorpusRequest struct {
 	Files []string
 	// Source is any pre-built corpus (in-memory units, custom sources).
 	Source Corpus
-	// Options configures the analyzer. Options.Workers sizes the whole
-	// load/fingerprint/probe/solve pipeline (0 serial, negative
-	// GOMAXPROCS); Options.StorePath attaches the persistent verdict
-	// store (loaded when present, saved back after the run).
+	// Options configures the analyzer. Options.Workers sizes both
+	// parallel phases of the run, the load/fingerprint/probe front end and
+	// the solve (0 serial, negative GOMAXPROCS); Options.StorePath
+	// attaches the persistent verdict store (loaded when present, saved
+	// back after the run).
 	Options Options
 }
 
@@ -123,14 +124,14 @@ var errCorpusSelection = errors.New("exactdep: CorpusRequest must set exactly on
 // in one call. Without a StorePath every unit is solved fresh in a single
 // batch with shared memo tables.
 //
-// Options.Workers sizes the whole corpus pipeline as in AnalyzeUnitContext
-// (0 serial, negative GOMAXPROCS): at more than one worker the driver
-// loads, fingerprints, and store-probes units with a worker pool and
-// overlaps analyzer batches with the rest of the front end, with canonical
-// results, counters, and store traffic identical to the serial run at every
-// worker count. Cut-short units degrade to sound Maybe verdicts and are
-// never stored. Invalid options are rejected up front with the shared
-// Options.Validate error.
+// The driver runs in three phases: it loads, fingerprints, and
+// store-probes every unit, solves the misses in one analyzer batch, then
+// emits and stores results in corpus order. Options.Workers sizes the
+// first two as in AnalyzeUnitContext (0 serial, negative GOMAXPROCS), with
+// canonical results, counters, and store traffic identical to the serial
+// run at every worker count. Cut-short units degrade to sound Maybe
+// verdicts and are never stored. Invalid options are rejected up front
+// with the shared Options.Validate error.
 func AnalyzeCorpusRequest(ctx context.Context, req CorpusRequest) (*CorpusReport, error) {
 	opts := req.Options
 	if err := opts.Validate(); err != nil {
@@ -166,12 +167,6 @@ func AnalyzeCorpusRequest(ctx context.Context, req CorpusRequest) (*CorpusReport
 // AnalyzeCorpusRequest kept for compatibility.
 func AnalyzeCorpus(src Corpus, opts Options) (*CorpusReport, error) {
 	return AnalyzeCorpusRequest(context.Background(), CorpusRequest{Source: src, Options: opts})
-}
-
-// AnalyzeCorpusContext is AnalyzeCorpus honoring a context — a thin wrapper
-// over AnalyzeCorpusRequest kept for compatibility.
-func AnalyzeCorpusContext(ctx context.Context, src Corpus, opts Options) (*CorpusReport, error) {
-	return AnalyzeCorpusRequest(ctx, CorpusRequest{Source: src, Options: opts})
 }
 
 // openStore loads the snapshot at opts.StorePath, or returns a fresh store

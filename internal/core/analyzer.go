@@ -631,6 +631,20 @@ func (a *Analyzer) analyzeCandidate(c refs.Candidate, prov *provenance) (Result,
 			for {
 				f, leader := a.inflight.Claim(fullKey)
 				if leader {
+					// An earlier leader's insert may have drained, and its
+					// flight been forgotten, between the table miss above
+					// and this claim: re-probe, or the problem solves twice.
+					// The occurrence's L2 lookup is already counted.
+					if stored, hit, ok := a.full.LookupStored(fullKey); ok && hit.usable(a.budClass) {
+						a.inflight.Finish(f, stored, hit, true)
+						a.inflight.Forget(fullKey)
+						a.Stats.L2Hits++
+						a.Stats.FullHits++
+						if a.l1 != nil {
+							a.l1.Store(stored, hit)
+						}
+						return a.serveHit(prob, p, stored, hit, prov), nil
+					}
 					res, fin := a.solveAndCache(prob, p, fullKey, prov)
 					a.inflight.Finish(f, fin.key, fin.val, fin.ok)
 					return res, nil

@@ -35,11 +35,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"exactdep/internal/lang"
 	"exactdep/internal/memo"
@@ -82,73 +79,22 @@ type Source interface {
 
 // Item is one lazily-loadable member of a corpus listing: the unit's name
 // plus the deferred read+parse that materializes it. Load must be safe to
-// call from any goroutine (items are loaded by a worker pool) and
+// call from any goroutine (the driver's front-end workers load items) and
 // independent of every other item's Load.
 type Item struct {
 	Name string
 	Load func() (Unit, error)
 }
 
-// Lister is the streaming face of a Source: sources that can enumerate
-// their members cheaply (a directory walk, a path list) before paying the
-// per-unit read+parse cost. The driver's pipelined front end loads,
-// fingerprints, and store-probes Lister items with a worker pool while the
-// solver is already chewing on earlier units; plain Sources are fully
-// materialized first. Dir and Files implement it; Mem deliberately does
-// not (its units already exist).
+// Lister is the lazy face of a Source: sources that can enumerate their
+// members cheaply (a directory walk, a path list) before paying the
+// per-unit read+parse cost. The driver's front end loads Lister items in
+// the same parallel pass that fingerprints and store-probes them, sized by
+// the driver's worker count; plain Sources are materialized first. Dir and
+// Files implement it; Mem deliberately does not (its units already exist).
 type Lister interface {
 	Source
 	List() ([]Item, error)
-}
-
-// loadItems materializes a listing with a bounded worker pool, preserving
-// item order: workers claim indices atomically and fill a pre-sized slice,
-// so the result is byte-identical to a serial loop at any worker count.
-// workers <= 0 means runtime.GOMAXPROCS(0). On failure the error of the
-// lowest-index failing item wins — the same error a serial loop would have
-// stopped on — and every worker is joined before returning, so no goroutine
-// outlives the call.
-func loadItems(items []Item, workers int) ([]Unit, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	units := make([]Unit, len(items))
-	if workers <= 1 {
-		for i := range items {
-			u, err := items[i].Load()
-			if err != nil {
-				return nil, err
-			}
-			units[i] = u
-		}
-		return units, nil
-	}
-	errs := make([]error, len(items))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				units[i], errs[i] = items[i].Load()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return units, nil
 }
 
 // Mem is an in-memory corpus: the units themselves. The adapter for
@@ -187,8 +133,8 @@ type files []string
 
 // Files returns a Source over the given loop-language files, one unit per
 // file in the given order, named by path. Units reads and parses the files
-// with a worker pool (List exposes the lazy form for the pipelined driver);
-// unit order is the given path order regardless of worker count.
+// in order on the calling goroutine; List exposes the lazy form the driver
+// loads with its own front-end workers.
 func Files(paths ...string) Source { return files(paths) }
 
 func (f files) List() ([]Item, error) {
@@ -199,13 +145,7 @@ func (f files) List() ([]Item, error) {
 	return items, nil
 }
 
-func (f files) Units() ([]Unit, error) {
-	items, err := f.List()
-	if err != nil {
-		return nil, err
-	}
-	return loadItems(items, 0)
-}
+func (f files) Units() ([]Unit, error) { return loadAll(f) }
 
 // dir is the Source over a directory tree of DSL files.
 type dir string
@@ -216,9 +156,10 @@ const DirExt = ".loop"
 // Dir returns a Source over every *.loop file under root (recursively),
 // one unit per file in sorted relative-path order — the stable order that
 // makes corpus output deterministic across runs and platforms. Units reads
-// and parses the files with a worker pool (List exposes the lazy form for
-// the pipelined driver); the sorted order is fixed by the walk, before any
-// loading starts, so it is identical at every worker count.
+// and parses the files in order on the calling goroutine; List exposes the
+// lazy form the driver loads with its own front-end workers. The sorted
+// order is fixed by the walk, before any loading starts, so it is identical
+// at every worker count.
 func Dir(root string) Source { return dir(root) }
 
 func (d dir) List() ([]Item, error) {
@@ -250,10 +191,20 @@ func (d dir) List() ([]Item, error) {
 	return items, nil
 }
 
-func (d dir) Units() ([]Unit, error) {
-	items, err := d.List()
+func (d dir) Units() ([]Unit, error) { return loadAll(d) }
+
+// loadAll is the Units of a Lister: load every listed item in order,
+// stopping at the first failure.
+func loadAll(l Lister) ([]Unit, error) {
+	items, err := l.List()
 	if err != nil {
 		return nil, err
 	}
-	return loadItems(items, 0)
+	units := make([]Unit, len(items))
+	for i := range items {
+		if units[i], err = items[i].Load(); err != nil {
+			return nil, err
+		}
+	}
+	return units, nil
 }

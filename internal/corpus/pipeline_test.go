@@ -52,10 +52,11 @@ func pipelineDir(t *testing.T, n int) (string, []string) {
 	return root, names
 }
 
-// TestParallelLoadDeterministic is the race-mode hammer over the parallel
-// sources: Dir and Files loading must yield byte-identical unit order and
-// content at every worker count (the pool fills a pre-sized slice in a
-// fixed order), repeatedly, against a serial FromSource reference.
+// TestParallelLoadDeterministic: Dir and Files loading must yield the
+// listed unit order and content, repeatedly, against a FromSource
+// reference — from Units() and from the driver's parallel front end at
+// every worker count (its workers fill a pre-sized slice in a fixed
+// order).
 func TestParallelLoadDeterministic(t *testing.T) {
 	const n = 24
 	root, names := pipelineDir(t, n)
@@ -97,7 +98,22 @@ func TestParallelLoadDeterministic(t *testing.T) {
 				t.Fatalf("iter %d: unit %d named %q, want %q", iter, i, units[i].Name, names[i])
 			}
 			if got := f.Unit(units[i]).String(); got != refFP[i] {
-				t.Fatalf("iter %d: unit %q parsed differently under the pool", iter, units[i].Name)
+				t.Fatalf("iter %d: unit %q parsed differently", iter, units[i].Name)
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		urs, err := NewDriver(testOpts, workers).RunAll(context.Background(), Dir(root))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(urs) != n {
+			t.Fatalf("workers=%d: %d units, want %d", workers, len(urs), n)
+		}
+		for i := range urs {
+			if urs[i].Name != names[i] || urs[i].Fingerprint.String() != refFP[i] {
+				t.Fatalf("workers=%d: unit %d is %q %s, want %q %s",
+					workers, i, urs[i].Name, urs[i].Fingerprint, names[i], refFP[i])
 			}
 		}
 	}
@@ -120,9 +136,9 @@ func TestParallelLoadDeterministic(t *testing.T) {
 }
 
 // TestParallelLoadErrorPath: one unparsable file must surface the same
-// error the serial loop stops on — the lowest-index failure — from both the
-// parallel Units() and the pipelined driver, at every worker count, and no
-// loader goroutine may outlive the call.
+// error the serial loop stops on — the lowest-index failure — from both
+// Units() and the driver, at every worker count; the driver must emit
+// nothing, and no front-end goroutine may outlive the call.
 func TestParallelLoadErrorPath(t *testing.T) {
 	const n = 16
 	root, names := pipelineDir(t, n)
@@ -142,7 +158,7 @@ func TestParallelLoadErrorPath(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	if _, err := Dir(root).Units(); err == nil || err.Error() != refErr.Error() {
-		t.Fatalf("parallel Units() error = %v, want %v", err, refErr)
+		t.Fatalf("Units() error = %v, want %v", err, refErr)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		d := NewDriver(testOpts, workers)
@@ -154,13 +170,13 @@ func TestParallelLoadErrorPath(t *testing.T) {
 		if err == nil || err.Error() != refErr.Error() {
 			t.Fatalf("workers=%d: driver error = %v, want %v", workers, err, refErr)
 		}
-		// The pipelined run may stream results for units preceding the
-		// failure, but never past it.
-		if emitted > 3 {
-			t.Fatalf("workers=%d: %d units emitted past the failing index", workers, emitted)
+		// Loading finishes before anything is emitted, so a load failure
+		// emits nothing.
+		if emitted != 0 {
+			t.Fatalf("workers=%d: %d units emitted before the load error", workers, emitted)
 		}
 	}
-	// Every pool joins before returning: goroutine count settles back.
+	// Every helper joins before returning: goroutine count settles back.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -171,9 +187,10 @@ func TestParallelLoadErrorPath(t *testing.T) {
 }
 
 // TestPipelineCanonicalIdentity is the byte-identity acceptance check of
-// the pipelined driver: cold and warm canonical bytes at workers 2/4/8 —
-// from Dir, Files, and Mem sources alike — must equal the workers=1 serial
-// run's, with identical unit/pair counters and store traffic.
+// the driver's parallel phases: cold and warm canonical bytes at workers
+// 2/4/8 — from Dir, Files, and Mem sources alike — must equal the
+// workers=1 serial run's, with identical unit/pair counters and store
+// traffic.
 func TestPipelineCanonicalIdentity(t *testing.T) {
 	const n = 30
 	root, names := pipelineDir(t, n)
@@ -311,7 +328,7 @@ func TestFingerprintWithoutStore(t *testing.T) {
 }
 
 // TestStageTimes: with TimeStages set, a store-backed file run populates
-// every pipeline stage; with it off (the default) only Wall is measured.
+// every stage; with it off (the default) only Wall is measured.
 func TestStageTimes(t *testing.T) {
 	root, _ := pipelineDir(t, 12)
 	for _, workers := range []int{1, 4} {
@@ -344,6 +361,59 @@ func TestStageTimes(t *testing.T) {
 		}
 		if d2.Stats.Stage.Wall <= 0 {
 			t.Fatal("Wall must always be measured")
+		}
+	}
+}
+
+// serialLister is a Lister whose loads record the goroutine count they see.
+type serialLister struct {
+	Mem
+	seen *[]int
+}
+
+func (l serialLister) List() ([]Item, error) {
+	items := make([]Item, len(l.Mem))
+	for i := range l.Mem {
+		u := l.Mem[i]
+		items[i] = Item{Name: u.Name, Load: func() (Unit, error) {
+			*l.seen = append(*l.seen, runtime.NumGoroutine())
+			return u, nil
+		}}
+	}
+	return items, nil
+}
+
+// TestWorkersOneIsSerial pins the documented "workers = 1 is strictly
+// serial" contract: no load and no emit of a workers=1 Run may observe a
+// goroutine beyond those alive before the Run.
+func TestWorkersOneIsSerial(t *testing.T) {
+	root, names := pipelineDir(t, 12)
+	units, err := Dir(root).Units()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []int
+	src := serialLister{Mem: units, seen: &seen}
+	d := NewDriver(testOpts, 1)
+	if err := d.SetStore(NewStore(testOpts)); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []string{"cold", "warm"} {
+		seen = seen[:0]
+		before := runtime.NumGoroutine()
+		if err := d.Run(context.Background(), src, func(UnitResult) error {
+			seen = append(seen, runtime.NumGoroutine())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 2*len(names) {
+			t.Fatalf("%s: %d loads+emits recorded, want %d", run, len(seen), 2*len(names))
+		}
+		for i, g := range seen {
+			if g > before {
+				t.Fatalf("%s: observation %d saw %d goroutines, %d before Run", run, i, g, before)
+			}
 		}
 	}
 }

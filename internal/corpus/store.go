@@ -32,9 +32,9 @@ import (
 // hits as ByCache and the canonical rendering excludes it.
 //
 // A Store is a plain map with no internal locking: concurrent Lookups are
-// safe only while no Put runs. The pipelined driver relies on exactly that
-// contract — its front-end workers probe the store concurrently and all
-// Puts are deferred until the pool is joined (see pipeline.go) — so any new
+// safe only while no Put runs. The driver relies on exactly that contract —
+// its front-end workers probe the store concurrently, and Puts wait for the
+// emit phase, after the front end is joined (see Driver.Run) — so any new
 // caller that mixes readers and writers must add its own synchronization.
 type Store struct {
 	sig   string

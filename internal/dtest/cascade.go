@@ -25,14 +25,6 @@ func Solve(ts *system.TSystem) (Result, Trace) {
 	return DefaultConfig().NewPipeline().RunTraced(ts)
 }
 
-// SolveState is Solve for callers that already built a state (testing and
-// benchmarking individual stages), without trace collection.
-func SolveState(s *state) Result {
-	p := DefaultConfig().NewPipeline()
-	r, _ := p.run(s, false)
-	return r
-}
-
 // NewState exposes state construction to sibling packages' tests and to the
 // benchmark harness through exported helpers in this package.
 func NewState(ts *system.TSystem) *state { return newState(ts) }

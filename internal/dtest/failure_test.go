@@ -42,8 +42,7 @@ func TestAcyclicSubstituteOverflow(t *testing.T) {
 		cons(big, 0, 1),       // t2 ≤ big
 		cons(-(big-1), 0, -1), // t2 ≥ big-1
 	)
-	s := NewState(ts)
-	r := SolveState(s)
+	r, _ := Solve(ts)
 	// whatever the route, no panic and a classified outcome:
 	if r.Outcome != Independent && r.Outcome != Dependent && r.Outcome != Unknown {
 		t.Fatalf("unclassified outcome: %v", r)

@@ -97,7 +97,7 @@ type StageMetrics struct {
 
 // Pipeline runs a Config's stages over problems, reusing one Scratch across
 // problems and accumulating per-stage metrics. It is the single cascade
-// engine: Solve and SolveState are thin wrappers over throwaway pipelines,
+// engine: Solve is a thin wrapper over a throwaway pipeline,
 // and the analyzer gives each worker a persistent one.
 //
 // A Pipeline is not safe for concurrent use. Results and traces returned by

@@ -38,7 +38,10 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestSolveStateMatchesSolve(t *testing.T) {
+// TestRunMatchesSolve: the untraced Run of one reused pipeline (the
+// analyzer's path) decides like the traced throwaway Solve.
+func TestRunMatchesSolve(t *testing.T) {
+	p := DefaultConfig().NewPipeline()
 	for _, ts := range []struct {
 		n  int
 		cs [][]int64 // coef..., C
@@ -52,9 +55,9 @@ func TestSolveStateMatchesSolve(t *testing.T) {
 			s.Cons = append(s.Cons, cons(row[len(row)-1], row[:len(row)-1]...))
 		}
 		full, _ := Solve(s.Clone())
-		st := SolveState(NewState(s.Clone()))
-		if full.Outcome != st.Outcome || full.Kind != st.Kind {
-			t.Fatalf("Solve %v vs SolveState %v", full, st)
+		run := p.Run(s.Clone())
+		if full.Outcome != run.Outcome || full.Kind != run.Kind {
+			t.Fatalf("Solve %v vs Pipeline.Run %v", full, run)
 		}
 	}
 }

@@ -96,8 +96,8 @@ func (h *Harness) CostReport() error {
 	// Corpus pipeline: the incremental layer over the same options — a cold
 	// run solves every suite unit into a verdict store, the warm re-run
 	// serves them all back. The unit/pair counters are deterministic at any
-	// worker count (golden-pinned); per-stage timing of the pipelined front
-	// end appears with Timing, like the cascade columns above.
+	// worker count (golden-pinned); per-stage timing of the driver's phases
+	// appears with Timing, like the cascade columns above.
 	src, err := workload.SuiteSource(false)
 	if err != nil {
 		return err

@@ -75,9 +75,6 @@ func (e Expr) Vars() []string {
 	return vs
 }
 
-// NumTerms returns the number of variables with nonzero coefficients.
-func (e Expr) NumTerms() int { return len(e.Terms) }
-
 func (e *Expr) setCoeff(v string, c int64) {
 	if c == 0 {
 		delete(e.Terms, v)
@@ -143,17 +140,6 @@ func (e Expr) Mul(f Expr) (Expr, bool) {
 	default:
 		return Expr{}, false
 	}
-}
-
-// Subst returns e with every occurrence of variable v replaced by repl.
-func (e Expr) Subst(v string, repl Expr) Expr {
-	c := e.Terms[v]
-	if c == 0 {
-		return e.Clone()
-	}
-	out := e.Clone()
-	out.setCoeff(v, 0)
-	return out.Add(repl.Scale(c))
 }
 
 // Rename returns e with variable old renamed to new. If new already appears

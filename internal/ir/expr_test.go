@@ -14,7 +14,7 @@ func TestNewConstAndVar(t *testing.T) {
 	if v.Coeff("i") != 1 || v.Const != 0 {
 		t.Fatalf("NewVar(i) = %v", v)
 	}
-	if NewTerm("i", 0).NumTerms() != 0 {
+	if len(NewTerm("i", 0).Terms) != 0 {
 		t.Fatal("NewTerm with zero coeff should be constant 0")
 	}
 }
@@ -58,20 +58,6 @@ func TestMul(t *testing.T) {
 	}
 	if _, ok := e.Mul(NewVar("j")); ok {
 		t.Fatal("nonlinear product must report ok=false")
-	}
-}
-
-func TestSubst(t *testing.T) {
-	// i + 2j + 3 with j := i - 1  →  3i + 1
-	e := NewVar("i").Add(NewTerm("j", 2)).AddConst(3)
-	got := e.Subst("j", NewVar("i").AddConst(-1))
-	if got.Coeff("i") != 3 || got.Coeff("j") != 0 || got.Const != 1 {
-		t.Fatalf("Subst = %v", got)
-	}
-	// substituting an absent variable is a no-op copy
-	same := e.Subst("k", NewConst(100))
-	if !same.Equal(e) {
-		t.Fatalf("Subst absent var changed expr: %v", same)
 	}
 }
 

@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// LexAll tokenizes the whole input.
+func LexAll(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var out []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == TokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := LexAll("for i = 1 to 10\n  a[i+1] = a[i] * 3  # comment\nend\n")
 	if err != nil {

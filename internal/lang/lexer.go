@@ -150,19 +150,3 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 func isAlpha(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
-
-// LexAll tokenizes the whole input (testing helper).
-func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
-	}
-}

@@ -445,9 +445,10 @@ func (s *Server) runBatch(batch []*job) {
 }
 
 // runWarm executes one coalescable job on its class's warm analyzer. The
-// caller holds wa.mu. Store traffic follows the PR8 pipeline contract so
-// executors overlap solving: probe under storeMu, solve outside it on the
-// long-lived driver, deferred puts under it.
+// caller holds wa.mu. Store traffic follows the corpus driver's contract
+// (every probe before any Put) so executors overlap solving: probe under
+// storeMu, solve outside it on the long-lived driver, deferred puts under
+// it.
 //
 // The warm tier serves a stored unit when its result set matches the
 // unit's candidate count; at a non-default class it must additionally be

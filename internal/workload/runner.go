@@ -25,7 +25,7 @@ type RunnerOptions struct {
 	// Cascade selects the dtest pipeline configuration by name ("" keeps
 	// Core.Cascade; "full" is the paper's cost-ordered cascade, "fm-only"
 	// runs Fourier–Motzkin alone for cross-validation). When non-empty it
-	// overrides Core.Cascade in Run/RunSuite.
+	// overrides Core.Cascade in Run.
 	Cascade string
 }
 
@@ -74,21 +74,6 @@ func RunInto(a *core.Analyzer, s Spec, ro RunnerOptions) ([]core.Result, error) 
 		return nil, fmt.Errorf("workload %s: %w", s.Name, err)
 	}
 	return urs[0].Results, nil
-}
-
-// RunSuite runs every program of the suite through one analyzer (shared
-// memo tables, one compiler session) and returns it with merged counters.
-// The suite is a thirteen-unit corpus: one driver run, one analyzer batch.
-func RunSuite(ro RunnerOptions) (*core.Analyzer, error) {
-	src, err := SuiteSource(ro.Symbolic)
-	if err != nil {
-		return nil, err
-	}
-	d := corpus.NewDriver(ro.coreOpts(), driverWorkers(ro.Workers))
-	if err := d.Run(context.Background(), src, nil); err != nil {
-		return nil, err
-	}
-	return d.Analyzer(), nil
 }
 
 // Analyze runs one synthetic program through the full pipeline (parse →

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"exactdep/internal/core"
+	"exactdep/internal/corpus"
 )
 
 // prodOpts is the production analyzer configuration the paper evaluates.
@@ -51,18 +53,28 @@ func TestRunIntoWorkersDeterministic(t *testing.T) {
 	}
 }
 
+// runSuite runs every program of the suite through one corpus-driver run
+// (one analyzer, shared memo tables: one compiler session) and returns the
+// analyzer with its merged counters.
+func runSuite(t *testing.T, opts core.Options, workers int) *core.Analyzer {
+	t.Helper()
+	src, err := SuiteSource(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := corpus.NewDriver(opts, workers)
+	if err := d.Run(context.Background(), src, nil); err != nil {
+		t.Fatal(err)
+	}
+	return d.Analyzer()
+}
+
 // TestRunSuiteWorkers runs the whole suite concurrently through one shared
 // analyzer and checks the session-level tallies match a serial session.
 func TestRunSuiteWorkers(t *testing.T) {
 	opts := core.Options{Memoize: true, ImprovedMemo: true}
-	serial, err := RunSuite(RunnerOptions{Core: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := RunSuite(RunnerOptions{Core: opts, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runSuite(t, opts, 1)
+	conc := runSuite(t, opts, 4)
 	if serial.Stats.Pairs == 0 {
 		t.Fatal("suite analyzed no pairs")
 	}

@@ -13,7 +13,7 @@
 // Pattern→test-category mappings are locked in by tests in this package
 // against the real pipeline.
 //
-// The suite runner (Run/RunInto/RunSuite, configured by RunnerOptions)
+// The suite runner (Run/RunInto, configured by RunnerOptions)
 // drives generated programs through the analyzer; RunnerOptions.Workers
 // selects between the serial path and the concurrent driver
 // (core.Analyzer.AnalyzeAll) without changing results.
